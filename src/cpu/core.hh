@@ -33,6 +33,9 @@ namespace duet
 class Core
 {
   public:
+    /** Maps an MMIO address to the owning Control Hub endpoint. */
+    using MmioRoute = InlineFunction<NodeId(Addr), 16>;
+
     /**
      * @param clk        the fast clock domain
      * @param name       stats name
@@ -41,9 +44,6 @@ class Core
      * @param mesh       the NoC, for MMIO traffic
      * @param mmio_route maps an MMIO address to the owning Control Hub
      */
-    /** Maps an MMIO address to the owning Control Hub endpoint. */
-    using MmioRoute = InlineFunction<NodeId(Addr), 16>;
-
     Core(ClockDomain &clk, std::string name, unsigned tile,
          PrivateCache &l2, Mesh &mesh, MmioRoute mmio_route);
 

@@ -1,6 +1,5 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <string>
 
@@ -22,22 +21,41 @@ EventQueue::schedule(Tick when, Event cb)
     commit(when, slot);
 }
 
+std::uint32_t
+EventQueue::growSlab()
+{
+    const std::uint32_t slot = static_cast<std::uint32_t>(link_.size());
+    DUET_ASSERT(slot < kSlotLimit, "event slab exhausted the slot space");
+    if (slot == chunks_.size() << kChunkShift)
+        chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    link_.push_back(kIdle);
+    return slot;
+}
+
 bool
 EventQueue::run(Tick limit)
 {
-    while (!heap_.empty()) {
-        if (heap_.front().when > limit) {
+    while (!buckets_.empty()) {
+        Bucket &b = buckets_.back();
+        if (b.when > limit) {
             now_ = limit;
             return false;
         }
-        const Node n = heap_.front();
-        const Node last = heap_.back();
-        heap_.pop_back();
-        if (!heap_.empty())
-            siftDown(0, last);
-        DUET_DCHECK(n.when >= now_,
-                    "event queue lost time monotonicity");
-        now_ = n.when;
+        DUET_DCHECK(b.when >= now_, "event queue lost time monotonicity");
+        now_ = b.when;
+        // Unlink the head before dispatch: the callback may schedule at
+        // now() (appending behind this tick's remaining entries, or
+        // reopening the tick once it drained) and may reallocate
+        // buckets_, so no reference survives the call.
+        const std::uint32_t id = b.head;
+        const std::uint32_t slot = id & ~kRearmFlag;
+        const std::uint32_t next = link_[slot];
+        link_[slot] = kIdle;
+        if (next == kNone)
+            buckets_.pop_back();
+        else
+            b.head = next;
+        --pending_;
         ++executed_;
         // Invoke in place: chunk storage is pointer-stable, so the
         // callback may schedule new events (growing the slab) without
@@ -46,22 +64,49 @@ EventQueue::run(Tick limit)
         // the capture teardown into one indirect call. Observability
         // costs exactly this one predicted branch when disabled.
         if (obs::g_active != 0) [[unlikely]] {
-            dispatchObserved(n.slot);
-        } else if (n.slot & kRearmFlag) {
+            dispatchObserved(id);
+        } else if (id & kRearmFlag) {
             // Re-armable slot: run the capture in place and keep it
             // bound — the callback re-arms (or its owner releases) the
             // slot; it never joins the free-list here.
-            slotRef(n.slot & ~kRearmFlag).run();
+            slotRef(slot).run();
         } else {
-            slotRef(n.slot).runDestroy();
-            free_.push_back(n.slot);
+            slotRef(slot).runDestroy();
+            free_.push_back(slot);
         }
     }
     return true;
 }
 
 void
-EventQueue::dispatchObserved(std::uint32_t slot)
+EventQueue::reset()
+{
+    for (const Bucket &b : buckets_) {
+        std::uint32_t id = b.head;
+        while (id != kNone) {
+            const std::uint32_t slot = id & ~kRearmFlag;
+            const bool rearm = (id & kRearmFlag) != 0;
+            id = link_[slot];
+            link_[slot] = kIdle;
+            // A re-armable slot is owned by its binder (a Cadence in a
+            // coroutine frame). By the reset contract those frames were
+            // drained first, releasing the slot while it was still
+            // linked here, so it joins the free-list now. A binder that
+            // is still alive keeps its (now idle) slot.
+            if (rearm && !slotRef(slot).empty())
+                continue;
+            slotRef(slot).reset(); // destroy without running
+            free_.push_back(slot);
+        }
+    }
+    buckets_.clear();
+    pending_ = 0;
+    now_ = 0;
+    executed_ = 0;
+}
+
+void
+EventQueue::dispatchObserved(std::uint32_t id)
 {
     if (TraceSink *ts = obs::trace()) {
         if (ts->enabled(TraceCat::Queue)) {
@@ -70,12 +115,13 @@ EventQueue::dispatchObserved(std::uint32_t slot)
             // 256 dispatches keeps the track readable and the buffer sane.
             if ((executed_ & 0xffu) == 0) {
                 ts->counter(TraceCat::Queue, "events", "pending", now_,
-                            heap_.size());
+                            pending_);
             }
         }
     }
-    const bool rearm = (slot & kRearmFlag) != 0;
-    Slot &s = slotRef(slot & ~kRearmFlag);
+    const bool rearm = (id & kRearmFlag) != 0;
+    const std::uint32_t slot = id & ~kRearmFlag;
+    Slot &s = slotRef(slot);
     if (Profiler *p = obs::prof()) {
         p->beginEvent();
         const auto t0 = std::chrono::steady_clock::now();

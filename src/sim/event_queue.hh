@@ -6,21 +6,39 @@
  * scheduled for the same tick execute in insertion order, which makes every
  * simulation bit-for-bit deterministic.
  *
- * Layout: the priority heap orders 24-byte Node records (when, seq, slot);
- * the callbacks themselves sit in a chunked side slab indexed by slot and
- * recycled through a LIFO free-list. Heap sift operations therefore move
- * small PODs instead of type-erased callables; chunk storage is
- * pointer-stable, so a due callback is invoked in place (no per-event
- * move) even if it schedules further events; and — because Event stores
- * its capture inline — steady-state scheduling touches malloc only when
- * the slab itself grows. The pop order is a strict total order on
- * (when, seq), identical to the previous single-vector implementation.
+ * Layout: pending events are grouped into per-tick FIFO buckets — a small
+ * vector of {when, head, tail} records sorted by descending tick, so the
+ * earliest tick sits at the back — and each slab slot carries one link_
+ * successor word that threads it into its tick's FIFO. Scheduling walks
+ * the bucket vector from the earliest end (new events land a few ticks
+ * after now, so the walk is short) and appends to the matching FIFO or
+ * opens a bucket; dispatch pops the head of the back bucket. Appending is
+ * insertion order, so the pop order is exactly the (when, insertion) total
+ * order with no comparison between two events of the same tick. This is
+ * the calendar-queue idea (Brown, CACM 1988) cut down to this simulator's
+ * traffic: lockstep cores spinning on a shared clock put many events on
+ * few distinct ticks.
+ *
+ * Cost model: scheduling is linear in the number of distinct pending ticks
+ * D earlier than the new event, so a wide spread of ticks loses to a
+ * heap. BM_EventQueueDistinctTicks (BENCH_micro.json; 4-vCPU Xeon VM, GCC
+ * 12 RelWithDebInfo) against the former (when, seq) 4-ary heap: 0.66-0.90x
+ * the heap's time for D = 4..64, 1.07x at D = 256, 3.4x at D = 1024. The
+ * measured peak D is 24 on the Fig. 12 set at 16 cores (bfs/duet; every
+ * workload at its registered default size) and 46 on the benchmark
+ * scenarios (sort/fpsoc at 128 elements), well inside the winning range.
+ *
+ * The callbacks themselves sit in a chunked side slab indexed by slot and
+ * recycled through a LIFO free-list. Chunk storage is pointer-stable, so a
+ * due callback is invoked in place (no per-event move) even if it
+ * schedules further events; and — because Event stores its capture
+ * inline — steady-state scheduling touches malloc only when the slab or
+ * the bucket vector grows.
  */
 
 #ifndef DUET_SIM_EVENT_QUEUE_HH
 #define DUET_SIM_EVENT_QUEUE_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -102,17 +120,18 @@ class EventQueue
     // every simulated cycle) binds its capture into a slab slot ONCE and
     // then re-arms the same slot with a new due tick per firing. Dispatch
     // runs the capture without destroying it and never returns the slot
-    // to the free-list, so the steady state is one heap push per firing —
-    // no destroy+free+acquire+emplace round trip. Each arm consumes a
-    // (when, seq) key from the same counter as schedule(), so pop order
+    // to the free-list, so the steady state is one FIFO append per
+    // firing — no destroy+free+acquire+emplace round trip. An arm is
+    // appended to its tick's FIFO exactly like schedule(), so pop order
     // and executed-event counts stay bit-identical to the equivalent
-    // schedule-per-firing pattern.
+    // schedule-per-firing pattern. A slot has one link_ word, so it can
+    // sit in at most one FIFO: one pending firing at a time.
     // ------------------------------------------------------------------
 
     /**
      * Claim a slab slot for a re-armable event and build @p fn in it.
-     * The slot is idle (not on the heap) until armRearmable(); the owner
-     * must eventually releaseRearmable() it.
+     * The slot is idle (in no FIFO) until armRearmable(); the owner must
+     * eventually releaseRearmable() it.
      * @return the slot handle to pass to armRearmable/releaseRearmable
      */
     template <typename F>
@@ -120,15 +139,15 @@ class EventQueue
     bindRearmable(F &&fn)
     {
         const std::uint32_t slot = acquireSlot(now_);
-        DUET_ASSERT(slot < kRearmFlag, "event slab exhausted the slot space");
         slotRef(slot).emplace(std::forward<F>(fn));
         return slot;
     }
 
     /**
-     * Put the bound slot @p slot on the heap, due at @p when. The slot
-     * must not already be armed (one pending firing at a time — the
-     * cadence contract).
+     * Append the bound slot @p slot to the FIFO of tick @p when. The slot
+     * must be idle: arming a slot whose previous firing is still pending
+     * traps under paranoid checks (the cadence contract — one pending
+     * firing at a time).
      * @pre when >= now()
      */
     void
@@ -138,21 +157,26 @@ class EventQueue
                     "re-armable event armed in the past (tick " +
                         std::to_string(when) + " < now " +
                         std::to_string(now_) + ")");
+        DUET_DCHECK(link_[slot] == kIdle,
+                    "re-armable slot " + std::to_string(slot) +
+                        " armed while its previous firing is pending");
         commit(when, slot | kRearmFlag);
     }
 
     /**
-     * Destroy the bound capture and return the slot to the free-list.
-     * Only legal when the slot is not armed — or when the queue is about
-     * to be reset()/destroyed and will never dispatch again (the
-     * teardown path for coroutine frames reclaimed after the run; a
-     * stale heap node is skipped by reset()).
+     * Destroy the bound capture and give the slot back. Only legal when
+     * the slot is not armed — or when the queue is about to be
+     * reset()/destroyed and will never dispatch again (the teardown path
+     * for coroutine frames reclaimed after the run). An armed slot is
+     * still linked into its tick's FIFO, so it joins the free-list only
+     * when reset() unlinks it.
      */
     void
     releaseRearmable(std::uint32_t slot)
     {
         slotRef(slot).reset();
-        free_.push_back(slot);
+        if (link_[slot] == kIdle)
+            free_.push_back(slot);
     }
 
     /**
@@ -162,17 +186,17 @@ class EventQueue
     bool run(Tick limit = kMaxTick);
 
     /** Number of pending events. */
-    std::size_t pending() const { return heap_.size(); }
+    std::size_t pending() const { return pending_; }
 
     /** True when no events are pending. */
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return buckets_.empty(); }
 
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return executed_; }
 
     /// @{ Slab introspection for tests: total slots ever created, and
     /// how many are currently parked on the free-list.
-    std::size_t slabSlots() const { return slots_; }
+    std::size_t slabSlots() const { return link_.size(); }
     std::size_t freeSlots() const { return free_.size(); }
     /// @}
 
@@ -181,84 +205,29 @@ class EventQueue
      * slab chunks and free-list warm (scenario warm-start). Pending
      * callbacks are destroyed without running.
      */
-    void
-    reset()
-    {
-        for (const Node &n : heap_) {
-            // Re-armable slots are owned by their binder (a Cadence in a
-            // coroutine frame), which releases them itself — by the
-            // reset contract those frames were drained first, so the
-            // slot is already back on the free-list. Only one-shot
-            // slots are reclaimed here.
-            if (n.slot & kRearmFlag)
-                continue;
-            slotRef(n.slot).reset(); // destroy without running
-            free_.push_back(n.slot);
-        }
-        heap_.clear();
-        now_ = 0;
-        seq_ = 0;
-        executed_ = 0;
-    }
+    void reset();
 
   private:
-    /// High bit of Node::slot: the slot is re-armable — dispatch runs
+    /// High bit of a FIFO entry: the slot is re-armable — dispatch runs
     /// the capture without destroying it and leaves the slot bound.
     static constexpr std::uint32_t kRearmFlag = 0x80000000u;
+    /// link_ value of the last entry of a tick's FIFO.
+    static constexpr std::uint32_t kNone = 0xffffffffu;
+    /// link_ value of a slot that is in no FIFO (free, bound-but-idle,
+    /// or running).
+    static constexpr std::uint32_t kIdle = 0xfffffffeu;
+    /// Slot indices stay below this, so no tagged entry collides with
+    /// kNone or kIdle.
+    static constexpr std::uint32_t kSlotLimit = kIdle & ~kRearmFlag;
 
-    /** Heap record: the full (when, seq) ordering key plus the slab
-     *  slot holding the callback. Kept POD-small so sifts are cheap. */
-    struct Node
+    /** The FIFO of one pending tick. head/tail are tagged slots (slot
+     *  index plus kRearmFlag); the chain runs through link_. */
+    struct Bucket
     {
         Tick when;
-        std::uint64_t seq;
-        std::uint32_t slot;
+        std::uint32_t head;
+        std::uint32_t tail;
     };
-
-    static bool
-    earlier(const Node &a, const Node &b)
-    {
-        if (a.when != b.when)
-            return a.when < b.when;
-        return a.seq < b.seq;
-    }
-
-    /** Restore the heap property after appending at index @p i. */
-    void
-    siftUp(std::size_t i)
-    {
-        const Node n = heap_[i];
-        while (i != 0) {
-            const std::size_t p = (i - 1) >> 2;
-            if (!earlier(n, heap_[p]))
-                break;
-            heap_[i] = heap_[p];
-            i = p;
-        }
-        heap_[i] = n;
-    }
-
-    /** Place @p n at index @p i and sink it to its heap position. */
-    void
-    siftDown(std::size_t i, Node n)
-    {
-        const std::size_t sz = heap_.size();
-        while (true) {
-            const std::size_t c0 = 4 * i + 1;
-            if (c0 >= sz)
-                break;
-            std::size_t best = c0;
-            const std::size_t end = std::min(c0 + 4, sz);
-            for (std::size_t c = c0 + 1; c < end; ++c)
-                if (earlier(heap_[c], heap_[best]))
-                    best = c;
-            if (!earlier(heap_[best], n))
-                break;
-            heap_[i] = heap_[best];
-            i = best;
-        }
-        heap_[i] = n;
-    }
 
     /// Slab chunk geometry: 4096 events per chunk.
     static constexpr std::uint32_t kChunkShift = 12;
@@ -278,48 +247,53 @@ class EventQueue
                     "event scheduled in the past (tick " +
                         std::to_string(when) + " < now " +
                         std::to_string(now_) + ")");
-        std::uint32_t slot;
-        if (!free_.empty()) {
-            slot = free_.back();
-            free_.pop_back();
-        } else {
-            if (slots_ == chunks_.size() << kChunkShift)
-                chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
-            slot = slots_++;
-        }
+        if (free_.empty())
+            return growSlab();
+        const std::uint32_t slot = free_.back();
+        free_.pop_back();
         return slot;
     }
 
-    /** Publish the filled slot @p slot on the (when, seq) heap. */
+    /** Create a fresh slot, adding a chunk when the last one is full. */
+    std::uint32_t growSlab();
+
+    /** Append the filled slot (tagged entry @p id) to the FIFO of tick
+     *  @p when, opening the tick's bucket if it has none. */
     void
-    commit(Tick when, std::uint32_t slot)
+    commit(Tick when, std::uint32_t id)
     {
-        heap_.push_back(Node{when, seq_++, slot});
-        siftUp(heap_.size() - 1);
+        link_[id & ~kRearmFlag] = kNone;
+        ++pending_;
+        std::size_t i = buckets_.size();
+        while (i != 0 && buckets_[i - 1].when < when)
+            --i;
+        if (i != 0 && buckets_[i - 1].when == when) {
+            Bucket &b = buckets_[i - 1];
+            link_[b.tail & ~kRearmFlag] = id;
+            b.tail = id;
+        } else {
+            buckets_.insert(buckets_.begin() + i, Bucket{when, id, id});
+        }
     }
 
     /** run()'s slow path when a trace sink or profiler is installed:
      *  emit the dispatch records and time the callback. Out of line so
      *  the disabled hot loop stays branch-plus-call-free. */
-    void dispatchObserved(std::uint32_t slot);
+    void dispatchObserved(std::uint32_t id);
 
-    // A 4-ary implicit heap in a plain vector: half the depth of a
-    // binary heap, and the four children of a node share a cache line
-    // pair, so sifts touch fewer lines. (when, seq) keys are unique, so
-    // the pop sequence is a strict total order and independent of heap
-    // arity and intermediate layout: bit-identical to the seed
-    // implementation.
-    std::vector<Node> heap_;
-    /// Callback storage, indexed by Node::slot. Chunked so slots never
-    /// move: run() can invoke an event in place while the callback
-    /// grows the slab.
+    /// One FIFO per pending tick, sorted by descending tick: the next
+    /// tick to run is back().
+    std::vector<Bucket> buckets_;
+    /// Per-slot FIFO successor (a tagged entry, kNone or kIdle).
+    std::vector<std::uint32_t> link_;
+    /// Callback storage, indexed by slot. Chunked so slots never move:
+    /// run() can invoke an event in place while the callback grows the
+    /// slab.
     std::vector<std::unique_ptr<Slot[]>> chunks_;
-    /// Slots handed out so far (all chunks before slots_ are constructed).
-    std::uint32_t slots_ = 0;
     /// LIFO recycler of vacated slab slots.
     std::vector<std::uint32_t> free_;
+    std::size_t pending_ = 0;
     Tick now_ = 0;
-    std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;
 };
 

@@ -597,11 +597,13 @@ class ClockDelay
  * waits: declare one Cadence before the loop, `co_await cad(1)` inside
  * it. The first await binds the resume capture into a re-armable event
  * queue slot; every later await just re-arms that slot with a new due
- * tick — one heap push per iteration instead of a full slot
- * destroy/free/acquire/emplace round trip. Due ticks, (when, seq)
- * ordering keys, and executed-event counts are identical to the
- * equivalent per-iteration ClockDelay, so simulated time is
- * bit-identical.
+ * tick — one append to that tick's FIFO per iteration instead of a full
+ * slot destroy/free/acquire/emplace round trip. Due ticks, same-tick
+ * order (the arm joins its tick's FIFO exactly where a schedule() would)
+ * and executed-event counts are identical to the equivalent
+ * per-iteration ClockDelay, so simulated time is bit-identical. A
+ * coroutine awaits one cadence at a time, so the slot never has two
+ * pending firings — the queue's re-arm contract.
  *
  * Owned by exactly one coroutine frame; the destructor releases the
  * slot. Frames parked forever (accelerator request loops) are reclaimed

@@ -164,6 +164,34 @@ TEST(CheckEventQueue, NullCallbackTrapsUnderParanoid)
     EXPECT_THROW(eq.schedule(1, EventQueue::Callback{}), SimPanic);
 }
 
+TEST(CheckEventQueue, DoubleArmOfARearmableSlotTrapsUnderParanoid)
+{
+    // A slot threads into one tick FIFO through a single link word, so
+    // it can hold one pending firing; a second arm must trap rather than
+    // corrupt the FIFO.
+    ParanoidScope scope(true);
+    EventQueue eq;
+    const std::uint32_t slot = eq.bindRearmable([] {});
+    eq.armRearmable(slot, 5);
+    try {
+        eq.armRearmable(slot, 9);
+        FAIL() << "double arm did not throw";
+    } catch (const SimPanic &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("previous firing is pending"), std::string::npos)
+            << what;
+    }
+    // The first arm is intact: it fires once, after which the slot may
+    // be re-armed.
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(eq.executed(), 1u);
+    eq.armRearmable(slot, 9);
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(eq.executed(), 2u);
+    eq.releaseRearmable(slot);
+    EXPECT_EQ(eq.freeSlots(), eq.slabSlots());
+}
+
 // ---------------------------------------------------------------------
 // Scratchpad / functional-memory bounds
 // ---------------------------------------------------------------------

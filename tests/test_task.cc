@@ -218,8 +218,8 @@ TEST(EventQueueRearm, MixedOneShotAndRearmedPopOrderMatchesReference)
 {
     // The production queue runs self-scheduling one-shot chains (as in
     // the event-queue identity test) interleaved with 64 re-armable
-    // slots firing on deterministic periods. A re-arm must consume a
-    // sequence number exactly like a fresh schedule() would, so the
+    // slots firing on deterministic periods. A re-arm must join its
+    // tick's FIFO exactly where a fresh schedule() would, so the
     // combined pop order — ties included — must match a naive reference
     // that models every firing as an ordinary insert.
     constexpr std::uint32_t kTotalOneShot = 700'000;

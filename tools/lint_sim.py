@@ -13,8 +13,10 @@ Rules (R1-R9):
                              crash isolation, reaping and frame framing
                              stay in one place.
   R2 no-const-cast           `const_cast` is banned. Restructure the
-                             owner (see EventQueue's vector heap) instead
-                             of stealing mutability.
+                             owner instead of stealing mutability (see
+                             EventQueue: callbacks sit in a mutable slab
+                             and run in place, never moved out of a
+                             const priority_queue top()).
   R3 naked-new-delete        `new`/`delete` expressions are banned
                              outside the executor: simulator state is
                              RAII-owned (make_unique/vector). `= delete;`
