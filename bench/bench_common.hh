@@ -104,37 +104,32 @@ commImage(bool with_soft_cache, std::shared_ptr<CommProbe> probe)
             }
         }(ctx, probe));
         // Doorbell: the Fig. 10 "eFPGA pull + store back" round trip.
-        ctx.regs.setNormalHandlers(
-            4,
-            [ctx](Future<std::uint64_t>::Setter done) mutable {
-                spawn([](FpgaContext ctx,
-                         Future<std::uint64_t>::Setter done)
-                          -> CoTask<void> {
-                    Addr src = ctx.regs.readPlain(2);
-                    Addr dst = ctx.regs.readPlain(3);
-                    std::uint64_t n = ctx.regs.readPlain(5);
-                    // Pull at line granularity: the eFPGA loads up to one
-                    // 16 B line per cycle (paper Sec. V-C).
-                    std::deque<SoftCache::LoadOp> loads;
-                    for (std::uint64_t i = 0; i < n / 2; ++i)
-                        loads.emplace_back(*ctx.mem[0],
-                                           src + kLineBytes * i, 8);
-                    std::vector<std::uint64_t> data;
-                    for (auto &f : loads)
-                        data.push_back(co_await f);
-                    // Store back: the L2 store port takes at most 8 B, so
-                    // two stores per line (the paper's bottleneck).
-                    for (std::uint64_t i = 0; i < n; ++i) {
-                        ctx.spad.write((8 * i) % ctx.spad.size(),
-                                       data[i / 2]);
-                        co_await ctx.mem[0]->store(dst + 8 * i,
-                                                   data[i / 2], 8);
-                    }
-                    co_await ctx.mem[0]->drainWrites();
-                    done.set(n);
-                }(ctx, done));
-            },
-            nullptr);
+        ctx.regs.setReadHandler(4, [ctx] {
+            return [](FpgaContext ctx) -> CoTask<std::uint64_t> {
+                Addr src = ctx.regs.readPlain(2);
+                Addr dst = ctx.regs.readPlain(3);
+                std::uint64_t n = ctx.regs.readPlain(5);
+                // Pull at line granularity: the eFPGA loads up to one
+                // 16 B line per cycle (paper Sec. V-C).
+                std::deque<SoftCache::LoadOp> loads;
+                for (std::uint64_t i = 0; i < n / 2; ++i)
+                    loads.emplace_back(*ctx.mem[0],
+                                       src + kLineBytes * i, 8);
+                std::vector<std::uint64_t> data;
+                for (auto &f : loads)
+                    data.push_back(co_await f);
+                // Store back: the L2 store port takes at most 8 B, so
+                // two stores per line (the paper's bottleneck).
+                for (std::uint64_t i = 0; i < n; ++i) {
+                    ctx.spad.write((8 * i) % ctx.spad.size(),
+                                   data[i / 2]);
+                    co_await ctx.mem[0]->store(dst + 8 * i,
+                                               data[i / 2], 8);
+                }
+                co_await ctx.mem[0]->drainWrites();
+                co_return n;
+            }(ctx);
+        });
     };
     return img;
 }

@@ -108,9 +108,10 @@ main()
         img.resources = FabricResources{100, 100, 0, 0};
         img.regLayout.kinds = {RegKind::Normal};
         img.start = [](FpgaContext &ctx) {
-            ctx.regs.setNormalHandlers(
-                0, [](Future<std::uint64_t>::Setter) { /* never */ },
-                nullptr);
+            ctx.regs.setReadHandler(0, []() -> CoTask<std::uint64_t> {
+                co_await std::suspend_always{}; // never answers
+                co_return 0;
+            });
         };
         sys.installAccel(img);
         sys.core(0).start([&sys](Core &c) -> CoTask<void> {

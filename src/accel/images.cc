@@ -49,70 +49,6 @@ streamStore(SoftCache &port, Addr base, const std::vector<std::uint64_t> &v)
 } // namespace
 
 // =====================================================================
-// Synthetic scratchpad accelerator (Sec. V-C studies)
-// =====================================================================
-
-AccelImage
-scratchpadImage(unsigned num_hubs, bool with_soft_cache)
-{
-    AccelImage img;
-    img.name = "scratchpad";
-    img.resources = FabricResources{400, 600, 64 * 1024, 0};
-    img.fmaxMHz = 100; // the benches sweep the clock afterwards
-    img.regLayout.kinds = {RegKind::FpgaFifo, RegKind::CpuFifo,
-                           RegKind::Plain,    RegKind::Plain,
-                           RegKind::Normal,   RegKind::Plain};
-    if (with_soft_cache) {
-        SoftCacheParams scp;
-        scp.enabled = true;
-        scp.sizeBytes = 4096;
-        scp.mshrs = 8;
-        img.softCaches.assign(num_hubs, scp);
-    } else {
-        SoftCacheParams pass;
-        pass.enabled = false;
-        pass.mshrs = 8;
-        img.softCaches.assign(num_hubs, pass);
-    }
-    img.start = [](FpgaContext &ctx) {
-        // Echo engine: reg0 -> reg1, one value per eFPGA cycle.
-        spawn([](FpgaContext ctx) -> CoTask<void> {
-            while (true) {
-                std::uint64_t v = co_await ctx.regs.pop(0);
-                ctx.regs.push(1, v);
-            }
-        }(ctx));
-        // Doorbell (normal reg 4): a read triggers "pull count QW from
-        // src buffer into the scratchpad, store back to dst buffer", then
-        // acknowledges the read — the paper's eFPGA-pull protocol.
-        ctx.regs.setNormalHandlers(
-            4,
-            [ctx](Future<std::uint64_t>::Setter done) mutable {
-                spawn([](FpgaContext ctx,
-                         Future<std::uint64_t>::Setter done)
-                          -> CoTask<void> {
-                    Addr src = ctx.regs.readPlain(2);
-                    Addr dst = ctx.regs.readPlain(3);
-                    unsigned count = static_cast<unsigned>(
-                        ctx.regs.readPlain(5));
-                    if (!ctx.mem.empty() && count > 0) {
-                        std::vector<std::uint64_t> data;
-                        data.reserve(count);
-                        co_await streamLoad(*ctx.mem[0], src, count, &data);
-                        for (unsigned i = 0; i < count; ++i)
-                            ctx.spad.write((8 * i) % ctx.spad.size(),
-                                           data[i]);
-                        co_await streamStore(*ctx.mem[0], dst, data);
-                    }
-                    done.set(count);
-                }(ctx, done));
-            },
-            nullptr);
-    };
-    return img;
-}
-
-// =====================================================================
 // Tangent (P1M0, fine-grained)
 // =====================================================================
 

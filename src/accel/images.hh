@@ -1,8 +1,9 @@
 /**
  * @file
  * Soft-accelerator image factories — one per application benchmark of the
- * paper's Sec. V-D, plus the synthetic scratchpad accelerator used by the
- * Sec. V-C communication studies.
+ * paper's Sec. V-D. (The synthetic accelerator behind the Sec. V-C
+ * communication studies lives with those benches, in
+ * bench/bench_common.hh.)
  *
  * Resource usage and Fmax are imported from the paper's Table II (the
  * Yosys/VTR/PRGA CAD flow is not available offline; see DESIGN.md). The
@@ -49,11 +50,6 @@ std::uint64_t pdesGateDelta(std::uint64_t time, std::uint64_t gate);
 // ---------------------------------------------------------------------
 // Image factories.
 // ---------------------------------------------------------------------
-
-/** Synthetic scratchpad accelerator for the Fig. 9/10/11 studies.
- *  Registers: 0 FPGA-bound FIFO, 1 CPU-bound FIFO, 2/3 plain (buffer
- *  addresses), 4 normal (doorbell/barrier), 5 token FIFO. */
-AccelImage scratchpadImage(unsigned num_hubs, bool with_soft_cache);
 
 /** Tangent (P1M0): FPGA-bound arg FIFO -> PWL pipeline -> CPU-bound
  *  result FIFO. */

@@ -5,9 +5,9 @@
  * Lives in the slow clock domain. Holds the soft registers the accelerator
  * actually interacts with: FPGA-bound FIFO payloads land here after the
  * CDC; CPU-bound pushes and plain syncs leave from here. Accelerators may
- * also install custom handlers on Normal registers (e.g. the CPU/eFPGA
- * barrier of Sec. II-F, where the eFPGA acknowledges a read when it
- * reaches the barrier).
+ * also install a custom read handler on a Normal register (e.g. the
+ * CPU/eFPGA barrier of Sec. II-F, where the eFPGA acknowledges a read
+ * when it reaches the barrier).
  *
  * When the Control Hub runs in FPSoC mode every register is downgraded to
  * Normal: all accesses are forwarded here and served at the slow clock,
@@ -48,12 +48,23 @@ struct RegLayout
 class FpgaRegFile
 {
   public:
-    /** Custom read handler: produce the value (may complete later). */
-    using ReadHandler =
-        std::function<void(Future<std::uint64_t>::Setter)>;
-    /** Custom write handler: consume the value, then signal done. */
-    using WriteHandler =
-        std::function<void(std::uint64_t, Future<void>::Setter)>;
+    /** Custom Normal-register read handler: a coroutine producing the
+     *  value the read returns (it may take simulated time). */
+    using ReadHandler = std::function<CoTask<std::uint64_t>()>;
+
+    /**
+     * A blocking pop from an FPGA-bound FIFO register. Issued eagerly by
+     * its constructor, like Core::LoadOp: with data present it dequeues
+     * now and resolves one slow cycle later; on an empty FIFO it parks
+     * in the register's popper queue until FifoData (or a downgraded
+     * NormalWrite) arrives, which resumes it inline. Pinned — the
+     * register file holds its address until it resolves.
+     */
+    class [[nodiscard]] PopOp : public PendingValue<std::uint64_t>
+    {
+      public:
+        PopOp(FpgaRegFile &rf, unsigned reg);
+    };
 
     FpgaRegFile(ClockDomain &fpga_clk, std::string name,
                 const RegLayout &layout);
@@ -71,7 +82,7 @@ class FpgaRegFile
     // --------------------------------------------------------------
 
     /** Pop one entry from an FPGA-bound FIFO register (blocking). */
-    Future<std::uint64_t> pop(unsigned reg);
+    PopOp pop(unsigned reg) { return PopOp(*this, reg); }
 
     /** True if an FPGA-bound FIFO register has data (peek, no cycle). */
     bool hasData(unsigned reg) const { return !regs_[reg].fifo.empty(); }
@@ -88,12 +99,11 @@ class FpgaRegFile
     /** Write a plain shadowed register and actively sync it back. */
     void writePlain(unsigned reg, std::uint64_t v);
 
-    /** Install custom Normal-register semantics. */
+    /** Install a custom read handler on a Normal register. */
     void
-    setNormalHandlers(unsigned reg, ReadHandler rd, WriteHandler wr)
+    setReadHandler(unsigned reg, ReadHandler rd)
     {
         regs_[reg].readHandler = std::move(rd);
-        regs_[reg].writeHandler = std::move(wr);
     }
 
     /** Reset all register state (accelerator reset). */
@@ -112,10 +122,9 @@ class FpgaRegFile
         std::uint64_t value = 0;
         std::deque<std::uint64_t> fifo; ///< FPGA-bound data / CpuFifo data
         std::uint64_t tokens = 0;
-        std::deque<Future<std::uint64_t>::Setter> poppers; ///< parked pops
+        std::deque<PopOp *> poppers; ///< parked pops, FIFO order
         std::deque<std::uint32_t> parkedReads; ///< NormalRead txns waiting
         ReadHandler readHandler;
-        WriteHandler writeHandler;
     };
 
     void send(CtrlMsg msg);

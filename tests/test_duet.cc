@@ -359,9 +359,10 @@ TEST(Exceptions, UnresponsiveAcceleratorTimesOutWithBogusData)
     img.regLayout.kinds = {RegKind::Normal};
     img.start = [](FpgaContext &ctx) {
         // Install a read handler that never completes (RTL bug model).
-        ctx.regs.setNormalHandlers(
-            0, [](Future<std::uint64_t>::Setter) { /* never set */ },
-            nullptr);
+        ctx.regs.setReadHandler(0, []() -> CoTask<std::uint64_t> {
+            co_await std::suspend_always{}; // parked until the drain
+            co_return 0;
+        });
     };
     ASSERT_TRUE(sys.installAccel(img));
     std::uint64_t got = 0;

@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests of the fork-per-job process pool (sim/executor.hh) and the
- * SweepRow wire format it ships results in: submission-order
- * reassembly under adversarial completion order, crash isolation
- * (abort/SIGSEGV become failed results, the batch continues), the
- * per-job timeout kill path, payloads larger than the pipe buffer,
- * JSON round-trip fuzz over extreme field values, and `-j1` vs `-j8`
- * byte-identity of a real 12-row sweep.
+ * Tests of the resident worker pool (sim/executor.hh) and the SweepRow
+ * wire format it ships scenario results in: per-submission completion
+ * pairing under adversarial completion order, crash isolation (abort,
+ * SIGSEGV, an uncaught exception and a nonzero exit each become a
+ * failed result; the batch continues and the pool keeps serving), the
+ * per-job timeout kill path, the in-flight cap, external event-loop
+ * integration, empty and larger-than-a-pipe-buffer payloads in both
+ * directions, worker reuse, JSON round-trip fuzz over extreme field
+ * values, and `-j1` vs `-j8` byte-identity of a real 12-row sweep.
  */
 
 #include <gtest/gtest.h>
@@ -18,9 +20,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include <poll.h>
+#include <unistd.h>
 
 #include "sim/config.hh"
 #include "sim/executor.hh"
@@ -55,6 +59,71 @@ dieBySignal(int sig)
     std::_Exit(99); // unreachable; keeps [[noreturn]] honest
 }
 
+bool
+startsWith(const std::string &s, const std::string &prefix)
+{
+    return s.compare(0, prefix.size(), prefix) == 0;
+}
+
+/**
+ * The test workers' service. A request either names a misbehaviour or
+ * a small task; anything else is echoed back verbatim (payload framing
+ * in both directions):
+ *   "abort", "segv", "throw", "exit7", "hang"  die / wedge the worker
+ *   "pid"                                      the serving worker's pid
+ *   "sleep:X"                                  X after 20 ms
+ *   "await:PATH"                               "first-submitted" once
+ *                                              PATH exists
+ */
+std::string
+testService(const std::string &req)
+{
+    if (req == "abort")
+        std::abort();
+    if (req == "segv")
+        dieBySignal(SIGSEGV);
+    if (req == "throw")
+        throw std::runtime_error("boom");
+    if (req == "exit7")
+        std::_Exit(7);
+    if (req == "hang") {
+        std::this_thread::sleep_for(60s); // far past any deadline
+        return "never";
+    }
+    if (req == "pid")
+        return std::to_string(::getpid());
+    if (startsWith(req, "sleep:")) {
+        std::this_thread::sleep_for(20ms);
+        return req.substr(6);
+    }
+    if (startsWith(req, "await:")) {
+        awaitFile(req.substr(6));
+        return "first-submitted";
+    }
+    return req;
+}
+
+/** Submit @p requests to a fresh pool, drain it, and return one result
+ *  per request in submission order; @p observer sees each as it
+ *  completes (completion order). */
+std::vector<JobResult>
+serveAll(const ExecutorConfig &cfg, const std::vector<std::string> &requests,
+         const std::function<void(std::size_t, const JobResult &)>
+             &observer = {})
+{
+    std::vector<JobResult> results(requests.size());
+    ResidentPool pool(cfg, testService);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        pool.submit(requests[i], [&, i](JobResult &&res) {
+            results[i] = std::move(res);
+            if (observer)
+                observer(i, results[i]);
+        });
+    }
+    pool.drain();
+    return results;
+}
+
 // ------------------------- scheduling ---------------------------------
 
 TEST(Executor, DefaultJobCountIsPositive)
@@ -64,32 +133,34 @@ TEST(Executor, DefaultJobCountIsPositive)
 
 TEST(Executor, EmptyBatchIsANoOp)
 {
-    EXPECT_TRUE(runJobs({}, ExecutorConfig{}).empty());
+    // Construction forks nothing, and with nothing submitted the
+    // scheduling calls return at once.
+    ResidentPool pool(ExecutorConfig{}, testService);
+    pool.drain();
+    EXPECT_EQ(pool.pump(0), 0u);
+    EXPECT_EQ(pool.inFlight(), 0u);
+    EXPECT_TRUE(pool.workerStats().empty());
+    EXPECT_EQ(pool.timeoutHintMs(), -1);
 }
 
 TEST(Executor, ResultsComeBackInSubmissionOrder)
 {
-    // Adversarial completion order, deterministically: job 0 blocks
-    // until the *parent* has delivered job 1's completion (the callback
-    // below writes the flag), so completion order is provably {1, 0} —
-    // yet the result vector must still be in submission order. Having
-    // job 1 itself write the flag would race: both result frames could
-    // land in one parent poll window and be drained in slot order.
+    // Adversarial completion order, deterministically: request 0 blocks
+    // until the *parent* has delivered request 1's completion (the
+    // observer below writes the flag), so completion order is provably
+    // {1, 0} — yet each completion must carry its own request's result,
+    // so the per-submission slots read back in submission order. Having
+    // request 1 itself write the flag would race: both response frames
+    // could land in one parent poll window and be drained in slot order.
     const fs::path flag =
         fs::path(::testing::TempDir()) / "duet_executor_order_flag";
     fs::remove(flag);
-    std::vector<Job> jobs;
-    jobs.push_back([&flag] {
-        awaitFile(flag);
-        return std::string("first-submitted");
-    });
-    jobs.push_back([] { return std::string("second-submitted"); });
-
     std::vector<std::size_t> completion;
     ExecutorConfig cfg;
     cfg.jobs = 2;
-    std::vector<JobResult> results =
-        runJobs(jobs, cfg, [&](std::size_t idx, const JobResult &) {
+    std::vector<JobResult> results = serveAll(
+        cfg, {"await:" + flag.string(), "second-submitted"},
+        [&](std::size_t idx, const JobResult &) {
             completion.push_back(idx);
             if (idx == 1)
                 std::ofstream(flag) << "go";
@@ -106,29 +177,24 @@ TEST(Executor, ResultsComeBackInSubmissionOrder)
 
 TEST(Executor, HardwareDefaultWhenJobsIsZero)
 {
-    std::vector<Job> jobs{[] { return std::string("a"); },
-                          [] { return std::string("b"); }};
-    std::vector<JobResult> results = runJobs(jobs, ExecutorConfig{});
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].payload, "a");
-    EXPECT_EQ(results[1].payload, "b");
+    ResidentPool pool(ExecutorConfig{}, testService);
+    std::vector<std::string> got(2);
+    pool.submit("a", [&](JobResult &&res) { got[0] = res.payload; });
+    pool.submit("b", [&](JobResult &&res) { got[1] = res.payload; });
+    pool.drain();
+    EXPECT_EQ(got, (std::vector<std::string>{"a", "b"}));
+    EXPECT_GE(pool.workerStats().size(), 1u);
+    EXPECT_LE(pool.workerStats().size(), defaultJobCount());
 }
 
 // ------------------------- crash isolation ----------------------------
 
 TEST(Executor, AbortingWorkerBecomesFailedResultBatchContinues)
 {
-    std::vector<Job> jobs;
-    for (int i = 0; i < 4; ++i) {
-        if (i == 2) {
-            jobs.push_back([]() -> std::string { std::abort(); });
-        } else {
-            jobs.push_back([i] { return "ok" + std::to_string(i); });
-        }
-    }
     ExecutorConfig cfg;
     cfg.jobs = 2;
-    std::vector<JobResult> results = runJobs(jobs, cfg);
+    std::vector<JobResult> results =
+        serveAll(cfg, {"ok0", "ok1", "abort", "ok3"});
     ASSERT_EQ(results.size(), 4u);
     for (int i : {0, 1, 3}) {
         EXPECT_EQ(results[i].status, JobStatus::Ok) << i;
@@ -141,11 +207,7 @@ TEST(Executor, AbortingWorkerBecomesFailedResultBatchContinues)
 
 TEST(Executor, SegfaultSignalIsNamedInTheDiagnostic)
 {
-    std::vector<Job> jobs{[]() -> std::string {
-        dieBySignal(SIGSEGV);
-        return "unreachable";
-    }};
-    std::vector<JobResult> results = runJobs(jobs, ExecutorConfig{});
+    std::vector<JobResult> results = serveAll(ExecutorConfig{}, {"segv"});
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, JobStatus::Crashed);
     EXPECT_NE(results[0].diagnostic.find("SIGSEGV"), std::string::npos)
@@ -154,9 +216,7 @@ TEST(Executor, SegfaultSignalIsNamedInTheDiagnostic)
 
 TEST(Executor, UncaughtExceptionIsReportedNotPropagated)
 {
-    std::vector<Job> jobs{
-        []() -> std::string { throw std::runtime_error("boom"); }};
-    std::vector<JobResult> results = runJobs(jobs, ExecutorConfig{});
+    std::vector<JobResult> results = serveAll(ExecutorConfig{}, {"throw"});
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, JobStatus::Crashed);
     EXPECT_NE(results[0].diagnostic.find("exception"), std::string::npos)
@@ -165,8 +225,7 @@ TEST(Executor, UncaughtExceptionIsReportedNotPropagated)
 
 TEST(Executor, NonzeroExitIsACrash)
 {
-    std::vector<Job> jobs{[]() -> std::string { std::_Exit(7); }};
-    std::vector<JobResult> results = runJobs(jobs, ExecutorConfig{});
+    std::vector<JobResult> results = serveAll(ExecutorConfig{}, {"exit7"});
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, JobStatus::Crashed);
     EXPECT_NE(results[0].diagnostic.find("status 7"), std::string::npos)
@@ -177,18 +236,12 @@ TEST(Executor, NonzeroExitIsACrash)
 
 TEST(Executor, TimeoutKillsHungWorkerBatchContinues)
 {
-    std::vector<Job> jobs;
-    jobs.push_back([] { return std::string("quick"); });
-    jobs.push_back([]() -> std::string {
-        std::this_thread::sleep_for(60s); // far past the deadline
-        return "never";
-    });
-    jobs.push_back([] { return std::string("also quick"); });
     ExecutorConfig cfg;
     cfg.jobs = 3;
     cfg.timeoutSeconds = 1;
     const auto start = std::chrono::steady_clock::now();
-    std::vector<JobResult> results = runJobs(jobs, cfg);
+    std::vector<JobResult> results =
+        serveAll(cfg, {"quick", "hang", "also quick"});
     const auto elapsed = std::chrono::steady_clock::now() - start;
 
     ASSERT_EQ(results.size(), 3u);
@@ -206,15 +259,14 @@ TEST(Executor, TimeoutKillsHungWorkerBatchContinues)
 
 TEST(Executor, EmptyAndPipeBufferSizedPayloadsRoundTrip)
 {
-    // 2 MiB is far past the kernel pipe buffer: the worker's write can
-    // only complete because the parent drains concurrently.
+    // 2 MiB is far past the kernel pipe buffer, in both directions: the
+    // request write only completes because the worker reads as it
+    // arrives, and the response because the parent drains concurrently.
     std::string big(2 * 1024 * 1024, 'x');
     big += "tail";
-    std::vector<Job> jobs{[] { return std::string(); },
-                          [&big] { return big; }};
     ExecutorConfig cfg;
     cfg.jobs = 2;
-    std::vector<JobResult> results = runJobs(jobs, cfg);
+    std::vector<JobResult> results = serveAll(cfg, {"", big});
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].status, JobStatus::Ok);
     EXPECT_TRUE(results[0].payload.empty());
@@ -428,23 +480,21 @@ TEST(SweepParallel, TwelveRowSweepIsByteIdenticalAcrossJobCounts)
     EXPECT_NE(j1.find("tangent"), std::string::npos);
 }
 
-// ------------------------- persistent pool ----------------------------
+// ------------------------- submit-as-you-go ---------------------------
 
 TEST(Pool, SubmitAsYouGoDeliversEveryCompletion)
 {
     ExecutorConfig cfg;
     cfg.jobs = 2;
-    ProcessPool pool(cfg);
+    ResidentPool pool(cfg, testService);
     std::vector<std::string> got(5);
     std::size_t delivered = 0;
     for (std::size_t i = 0; i < got.size(); ++i) {
-        pool.submit(
-            [i] { return "job" + std::to_string(i); },
-            [&, i](JobResult &&res) {
-                ASSERT_EQ(res.status, JobStatus::Ok);
-                got[i] = res.payload;
-                ++delivered;
-            });
+        pool.submit("job" + std::to_string(i), [&, i](JobResult &&res) {
+            ASSERT_EQ(res.status, JobStatus::Ok);
+            got[i] = res.payload;
+            ++delivered;
+        });
         // Interleave scheduling with submission, as a server would.
         pool.pump(0);
     }
@@ -460,13 +510,12 @@ TEST(Pool, InFlightCapBoundsTheBacklog)
     ExecutorConfig cfg;
     cfg.jobs = 1;
     cfg.maxInFlight = 2;
-    ProcessPool pool(cfg);
+    ResidentPool pool(cfg, testService);
     std::size_t delivered = 0;
     for (int i = 0; i < 6; ++i) {
-        pool.submit([] { return std::string("x"); },
-                    [&](JobResult &&) { ++delivered; });
+        pool.submit("x", [&](JobResult &&) { ++delivered; });
         // submit() blocks (delivering completions) until the backlog
-        // is back under the cap before queueing the new job.
+        // is back under the cap before queueing the new request.
         EXPECT_LE(pool.inFlight(), 2u) << "after submit " << i;
     }
     pool.drain();
@@ -477,14 +526,13 @@ TEST(Pool, SurvivesACrashedWorkerAndKeepsServing)
 {
     ExecutorConfig cfg;
     cfg.jobs = 2;
-    ProcessPool pool(cfg);
+    ResidentPool pool(cfg, testService);
     JobResult crash, after;
-    pool.submit([]() -> std::string { dieBySignal(SIGSEGV); return ""; },
-                [&](JobResult &&res) { crash = std::move(res); });
+    pool.submit("segv", [&](JobResult &&res) { crash = std::move(res); });
     pool.drain();
-    // The pool object outlives the crash: later submissions still run.
-    pool.submit([] { return std::string("alive"); },
-                [&](JobResult &&res) { after = std::move(res); });
+    // The pool outlives the crash: a replacement worker serves the next
+    // request.
+    pool.submit("alive", [&](JobResult &&res) { after = std::move(res); });
     pool.drain();
     EXPECT_EQ(crash.status, JobStatus::Crashed);
     EXPECT_NE(crash.diagnostic.find("SIGSEGV"), std::string::npos)
@@ -499,15 +547,11 @@ TEST(Pool, ExternalEventLoopViaAddReadFds)
     // alongside (here: instead of) the input stream, then pump(0).
     ExecutorConfig cfg;
     cfg.jobs = 2;
-    ProcessPool pool(cfg);
+    ResidentPool pool(cfg, testService);
     std::vector<std::string> got;
     for (int i = 0; i < 3; ++i) {
-        pool.submit(
-            [i] {
-                std::this_thread::sleep_for(20ms);
-                return std::to_string(i);
-            },
-            [&](JobResult &&res) { got.push_back(res.payload); });
+        pool.submit("sleep:" + std::to_string(i),
+                    [&](JobResult &&res) { got.push_back(res.payload); });
     }
     const auto deadline = std::chrono::steady_clock::now() + 30s;
     while (pool.inFlight() > 0 &&
@@ -530,18 +574,29 @@ TEST(Pool, PerJobTimeoutFiresInsidePump)
     ExecutorConfig cfg;
     cfg.jobs = 1;
     cfg.timeoutSeconds = 1;
-    ProcessPool pool(cfg);
+    ResidentPool pool(cfg, testService);
     JobResult res;
-    pool.submit(
-        []() -> std::string {
-            std::this_thread::sleep_for(60s);
-            return "never";
-        },
-        [&](JobResult &&r) { res = std::move(r); });
+    pool.submit("hang", [&](JobResult &&r) { res = std::move(r); });
     const auto start = std::chrono::steady_clock::now();
     pool.drain();
     EXPECT_EQ(res.status, JobStatus::TimedOut);
     EXPECT_LT(std::chrono::steady_clock::now() - start, 30s);
+}
+
+TEST(Pool, OneResidentWorkerAnswersEveryRequestWhenJobsIsOne)
+{
+    // Workers are forked once and reused: with one slot, five requests
+    // are all answered by the same (child) process.
+    ExecutorConfig cfg;
+    cfg.jobs = 1;
+    std::vector<JobResult> results =
+        serveAll(cfg, {"pid", "pid", "pid", "pid", "pid"});
+    ASSERT_EQ(results.size(), 5u);
+    for (const JobResult &r : results)
+        ASSERT_EQ(r.status, JobStatus::Ok) << r.diagnostic;
+    EXPECT_NE(results[0].payload, std::to_string(::getpid()));
+    for (const JobResult &r : results)
+        EXPECT_EQ(r.payload, results[0].payload);
 }
 
 } // namespace

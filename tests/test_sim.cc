@@ -1,19 +1,22 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue, clock domains,
- * coroutine tasks/futures, stats, latency traces.
+ * coroutine tasks, register-file pops, stats, latency traces.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "core/fpga_reg_file.hh"
+#include "fpga/async_fifo.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
 #include "sim/latency_trace.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
+#include "system/system.hh"
 
 namespace duet
 {
@@ -125,38 +128,169 @@ TEST(Clock, ScheduleAtEdge)
     EXPECT_EQ(fired, 40'000u);
 }
 
-CoTask<int>
-addLater(EventQueue &eq, int a, int b)
-{
-    Future<int> f;
-    auto s = f.setter();
-    eq.scheduleAfter(100, [s, a, b] { s.set(a + b); });
-    int v = co_await f;
-    co_return v;
-}
+// ---------------------------------------------------------------------
+// Register-file pops (FpgaRegFile::PopOp)
+// ---------------------------------------------------------------------
 
-TEST(Task, FutureRendezvous)
+/** One standalone slow-domain register file with a single FPGA-bound
+ *  FIFO register; every message it sends back (FIFO credits) lands in
+ *  @c sent. */
+struct RegFileRig
 {
     EventQueue eq;
-    int result = 0;
-    spawn([](EventQueue &eq, int &result) -> CoTask<void> {
-        result = co_await addLater(eq, 2, 3);
-    }(eq, result));
-    eq.run();
-    EXPECT_EQ(result, 5);
+    ClockDomain fpga{eq, "fpga", 100};
+    AsyncFifo<CtrlMsg> out{"out", fpga};
+    FpgaRegFile rf{fpga, "rf", RegLayout::uniform(1, RegKind::FpgaFifo)};
+    std::vector<CtrlMsg> sent;
+
+    RegFileRig()
+    {
+        rf.bindOut(&out);
+        out.setDrain([this](CtrlMsg &&m) { sent.push_back(m); });
+    }
+
+    // Parked poppers are frames the event loop will never resume.
+    ~RegFileRig() { drainDetachedTasks(); }
+
+    /** The CDC delivers one FPGA-bound FIFO payload. */
+    void
+    fifoData(std::uint64_t v)
+    {
+        CtrlMsg m;
+        m.kind = CtrlMsgKind::FifoData;
+        m.data = v;
+        rf.receive(std::move(m));
+    }
+};
+
+struct Popped
+{
+    int who;
+    std::uint64_t value;
+    Tick at;
+};
+
+CoTask<void>
+popOnce(FpgaRegFile &rf, const EventQueue &eq, int who,
+        std::vector<Popped> &log)
+{
+    std::uint64_t v = co_await rf.pop(0);
+    log.push_back({who, v, eq.now()});
 }
 
-TEST(Task, FutureAlreadySetDoesNotSuspend)
+TEST(RegFilePop, NonEmptyFifoResolvesExactlyOneSlowCycleLater)
 {
-    EventQueue eq;
-    Future<int> f;
-    f.setter().set(42);
-    int got = 0;
-    spawn([](Future<int> f, int &got) -> CoTask<void> {
-        got = co_await f;
-    }(f, got));
-    // No events needed; the coroutine never suspended.
-    EXPECT_EQ(got, 42);
+    RegFileRig rig;
+    rig.fifoData(7); // nobody waiting: the value sits in the FIFO
+    std::vector<Popped> log;
+    const Tick issue = 3 * rig.fpga.period(); // on an eFPGA edge
+    rig.eq.schedule(issue, [&] {
+        spawn(popOnce(rig.rf, rig.eq, 0, log));
+        EXPECT_TRUE(log.empty()); // the dequeue takes a cycle
+    });
+    rig.eq.run();
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log[0].value, 7u);
+    EXPECT_EQ(log[0].at, issue + rig.fpga.period());
+    // The dequeue hands the FIFO credit back to the Control Hub.
+    ASSERT_EQ(rig.sent.size(), 1u);
+    EXPECT_EQ(rig.sent[0].kind, CtrlMsgKind::FifoCredit);
+}
+
+TEST(RegFilePop, ParkedPopResumesInsideTheFifoDataTick)
+{
+    RegFileRig rig;
+    std::vector<Popped> log;
+    spawn(popOnce(rig.rf, rig.eq, 0, log)); // empty FIFO: parks
+    EXPECT_TRUE(log.empty());
+    const Tick arrive = 5 * rig.fpga.period() + 1234; // off-edge
+    rig.eq.schedule(arrive, [&] {
+        rig.fifoData(42);
+        // Resumed inline, inside receive(): no extra event.
+        EXPECT_EQ(log.size(), 1u);
+    });
+    rig.eq.run();
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log[0].value, 42u);
+    EXPECT_EQ(log[0].at, arrive);
+    ASSERT_EQ(rig.sent.size(), 1u);
+    EXPECT_EQ(rig.sent[0].kind, CtrlMsgKind::FifoCredit);
+}
+
+TEST(RegFilePop, TwoParkedPopsAreServedInFifoOrder)
+{
+    RegFileRig rig;
+    std::vector<Popped> log;
+    spawn(popOnce(rig.rf, rig.eq, 0, log));
+    spawn(popOnce(rig.rf, rig.eq, 1, log));
+    rig.fifoData(10);
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log[0].who, 0);
+    EXPECT_EQ(log[0].value, 10u);
+    rig.fifoData(11);
+    ASSERT_EQ(log.size(), 2u);
+    EXPECT_EQ(log[1].who, 1);
+    EXPECT_EQ(log[1].value, 11u);
+}
+
+TEST(RegFilePop, SystemResetDropsParkedPopAndPendingDequeue)
+{
+    // A pop parked on an empty register and a pop whose one-cycle
+    // dequeue event is still pending: reset() must reclaim both frames
+    // and drop the event without touching either op (asan checks the
+    // "without touching"), and the system must then run normally.
+    SystemConfig cfg;
+    cfg.numCores = 1;
+    cfg.numMemHubs = 0;
+    System sys(cfg);
+    AccelImage img;
+    img.name = "pops";
+    img.resources = FabricResources{60, 90, 0, 0};
+    img.regLayout.kinds = {RegKind::FpgaFifo, RegKind::FpgaFifo};
+    ASSERT_TRUE(sys.installAccel(img));
+    FpgaRegFile &rf = *sys.adapter().regs();
+
+    CtrlMsg m;
+    m.kind = CtrlMsgKind::FifoData;
+    m.reg = 1;
+    m.data = 9;
+    rf.receive(std::move(m));
+    std::vector<Popped> log;
+    auto pop = [](FpgaRegFile &r, unsigned reg,
+                  std::vector<Popped> &out) -> CoTask<void> {
+        std::uint64_t v = co_await r.pop(reg);
+        out.push_back({static_cast<int>(reg), v, 0});
+    };
+    const std::size_t before = sys.eventQueue().pending();
+    spawn(pop(rf, 0, log)); // parks
+    spawn(pop(rf, 1, log)); // dequeues; completion event pending
+    EXPECT_GT(sys.eventQueue().pending(), before);
+    EXPECT_TRUE(log.empty());
+
+    sys.reset(cfg);
+    EXPECT_EQ(sys.eventQueue().pending(), 0u);
+
+    // The rewound system is fully usable: a fresh echo accelerator
+    // answers, and neither dropped pop ever resumes.
+    AccelImage echo;
+    echo.name = "echo";
+    echo.resources = FabricResources{60, 90, 0, 0};
+    echo.regLayout.kinds = {RegKind::FpgaFifo, RegKind::CpuFifo};
+    echo.start = [](FpgaContext &ctx) {
+        spawn([](FpgaContext c) -> CoTask<void> {
+            while (true)
+                c.regs.push(1, co_await c.regs.pop(0) + 1);
+        }(ctx));
+    };
+    ASSERT_TRUE(sys.installAccel(echo));
+    std::uint64_t got = 0;
+    sys.core(0).start([&](Core &c) -> CoTask<void> {
+        co_await c.mmioWrite(sys.regAddr(0), 41);
+        got = co_await c.mmioRead(sys.regAddr(1));
+    });
+    sys.run();
+    EXPECT_EQ(got, 42u);
+    EXPECT_TRUE(log.empty());
 }
 
 CoTask<int>

@@ -7,20 +7,22 @@ Run over one or more source roots (default: src/ next to this script):
 
 Rules (R1-R9):
 
-  R1 fork-outside-executor   `fork(` may appear only in the process-pool
+  R1 fork-outside-executor   `fork(` may appear only in the worker-pool
                              executor (src/sim/executor.cc). Everything
-                             else must submit jobs through ProcessPool so
-                             crash isolation, reaping and frame framing
-                             stay in one place.
+                             else must submit jobs through ResidentPool
+                             so crash isolation, reaping and frame
+                             framing stay in one place.
   R2 no-const-cast           `const_cast` is banned. Restructure the
                              owner instead of stealing mutability (see
                              EventQueue: callbacks sit in a mutable slab
                              and run in place, never moved out of a
                              const priority_queue top()).
   R3 naked-new-delete        `new`/`delete` expressions are banned
-                             outside the executor: simulator state is
-                             RAII-owned (make_unique/vector). `= delete;`
-                             declarations are fine.
+                             outside the allocation layer (the frame
+                             arena, the arena-allocated promise mixin,
+                             InlineFunction's spill path): simulator
+                             state is RAII-owned (make_unique/vector).
+                             `= delete;` declarations are fine.
   R4 unchecked-memcpy        every `memcpy(` must be preceded (within
                              {MEMCPY_WINDOW} code lines, same line
                              included) by a visible size check: a
@@ -54,15 +56,14 @@ Rules (R1-R9):
                              the disabled-observability hot path stays a
                              single predictable branch — and so a null
                              sink can never be dereferenced.
-  R9 no-future-hot           `Future<` is banned in the per-access
-                             hot-path headers (src/cpu/*.hh,
-                             src/fpga/*.hh): a Future costs a refcounted
-                             arena block per simulated access, so those
-                             paths must use the intrusive awaitables
-                             (sim/task.hh PendingValue/PendingVoid).
-                             Cold decoupled rendezvous — reg-file pops,
-                             doorbell handlers, src/core — may still use
-                             Future.
+  R9 no-future               a `Future <T>` rendezvous type is banned
+                             in every file under src/: a refcounted
+                             shared-state rendezvous costs an arena
+                             block per operation, and the simulator has
+                             exactly one rendezvous primitive — the
+                             intrusive awaitables (sim/task.hh
+                             PendingValue/PendingVoid), pinned in the
+                             awaiting frame.
 
 Run `python3 tools/lint_sim.py --selftest` to exercise every rule against
 built-in positive/negative fixtures (wired into ctest as lint_selftest).
@@ -81,15 +82,13 @@ from pathlib import Path
 
 MEMCPY_WINDOW = 8
 
-# Files allowed to fork()/new: the fork-per-job executor owns process
+# Files allowed to fork()/new: the worker-pool executor owns process
 # lifecycles (R1); the allocation layer itself — the frame arena, the
-# intrusive RcPtr, and InlineFunction's oversized-capture fallback — is
-# where manual new/delete lives by design (R3). Everything else stays
-# RAII-only and allocates *through* these files.
+# ArenaAllocated promise mixin, and InlineFunction's oversized-capture
+# fallback — is where manual new/delete lives by design (R3). Everything
+# else stays RAII-only and allocates *through* these files.
 FORK_ALLOWLIST = {"src/sim/executor.cc"}
 NEW_ALLOWLIST = {
-    "src/sim/executor.cc",
-    "src/sim/arena.hh",
     "src/sim/arena.cc",
     "src/sim/inline_function.hh",
     "src/sim/task.hh",
@@ -132,11 +131,11 @@ RE_TRACE_DEREF = re.compile(
 TRACE_HOT_RE = re.compile(
     HOT_HEADERS_RE.pattern[:-2] + r"|src/fpga/async_fifo\.hh)$"
 )
-# R9: headers whose per-access paths must use the intrusive awaitables.
-# Constructing a Future there reintroduces a refcounted arena block per
-# simulated memory operation.
+# R9: the whole source tree rendezvouses through the intrusive
+# awaitables; a Future would reintroduce a refcounted arena block per
+# operation and a second rendezvous primitive.
 RE_FUTURE = re.compile(r"\bFuture\s*<")
-FUTURE_HOT_RE = re.compile(r"^(src/cpu/[^/]+\.hh|src/fpga/[^/]+\.hh)$")
+FUTURE_RE = re.compile(r"^src/")
 
 
 def strip_code(text):
@@ -219,7 +218,7 @@ def lint_file(path, rel, findings):
         if RE_FORK.search(line) and rel not in FORK_ALLOWLIST:
             report(lineno, "fork-outside-executor",
                    "fork() is the executor's job; submit through "
-                   "ProcessPool instead")
+                   "ResidentPool instead")
         if RE_CONST_CAST.search(line):
             report(lineno, "no-const-cast",
                    "const_cast is banned; restructure ownership instead")
@@ -241,10 +240,9 @@ def lint_file(path, rel, findings):
             report(lineno, "unguarded-trace-hot",
                    "unguarded trace/prof dereference in a hot header; "
                    "bind it first: if (TraceSink *ts = obs::trace())")
-        if FUTURE_HOT_RE.match(rel) and RE_FUTURE.search(line):
-            report(lineno, "no-future-hot",
-                   "Future<> is banned in per-access hot-path headers; "
-                   "use the intrusive awaitables "
+        if FUTURE_RE.match(rel) and RE_FUTURE.search(line):
+            report(lineno, "no-future",
+                   "Future types are banned; use the intrusive awaitables "
                    "(sim/task.hh PendingValue/PendingVoid)")
         if RE_MEMCPY.search(line):
             lo = max(0, idx - MEMCPY_WINDOW)
@@ -285,6 +283,14 @@ SELFTEST_CASES = [
      "struct S { S(const S &) = delete; };\n#endif\n",
      []),
     ("src/sim/arena.cc", "char *f() { return new char[8]; }\n", []),
+    # The executor may fork but not new; the arena header allocates
+    # only through arena.cc.
+    ("src/sim/executor.cc", "int *f() { return new int(1); }\n",
+     ["naked-new-delete"]),
+    ("src/sim/arena.hh",
+     "#ifndef DUET_SIM_ARENA_HH\n#define DUET_SIM_ARENA_HH\n"
+     "inline void f(int *p) { delete p; }\n#endif\n",
+     ["naked-new-delete"]),
     ("src/mem/bad_copy.cc",
      "void f(char *d, const char *s) { memcpy(d, s, 8); }\n",
      ["unchecked-memcpy"]),
@@ -342,23 +348,31 @@ SELFTEST_CASES = [
      []),
     ("src/sim/trace_cold.cc",
      "void emit() { obs::trace()->instant(0, \"cold\", 0); }\n", []),
-    # R9: Future construction in a per-access hot header is a finding;
-    # the cold decoupled-rendezvous homes (src/core headers, any .cc)
-    # are not.
+    # R9: a Future anywhere under src/ is a finding — headers and .cc
+    # files alike, including the reg-file/doorbell homes (src/core) and
+    # the coroutine kernel (src/sim) that once held it. Prose and
+    # longer identifiers ending in "Future" are not.
     ("src/cpu/bad_future.hh",
      "#ifndef DUET_CPU_BAD_FUTURE_HH\n#define DUET_CPU_BAD_FUTURE_HH\n"
-     "struct P { Future<std::uint64_t> pending; };\n#endif\n",
-     ["no-future-hot"]),
+     "struct P { Future <std::uint64_t> pending; };\n#endif\n",
+     ["no-future"]),
     ("src/fpga/bad_future.hh",
      "#ifndef DUET_FPGA_BAD_FUTURE_HH\n#define DUET_FPGA_BAD_FUTURE_HH\n"
      "inline Future <void> fence();\n#endif\n",
-     ["no-future-hot"]),
-    ("src/core/cold_future.hh",
-     "#ifndef DUET_CORE_COLD_FUTURE_HH\n#define DUET_CORE_COLD_FUTURE_HH\n"
-     "struct R { Future<std::uint64_t> pop(unsigned reg); };\n#endif\n",
-     []),
-    ("src/cpu/future_cold.cc",
-     "void f() { Future<int> scratch; }\n", []),
+     ["no-future"]),
+    ("src/core/bad_future.hh",
+     "#ifndef DUET_CORE_BAD_FUTURE_HH\n#define DUET_CORE_BAD_FUTURE_HH\n"
+     "struct R { Future\t<std::uint64_t> pop(unsigned reg); };\n#endif\n",
+     ["no-future"]),
+    ("src/accel/bad_future.cc",
+     "void f() { Future <int> scratch; }\n", ["no-future"]),
+    ("src/sim/bad_future.hh",
+     "#ifndef DUET_SIM_BAD_FUTURE_HH\n#define DUET_SIM_BAD_FUTURE_HH\n"
+     "template <typename T> class Future <T *>;\n#endif\n",
+     ["no-future"]),
+    ("src/cpu/not_a_future.cc",
+     "// a Future <int> in prose\n"
+     "struct NotAFuture <int> *p;\n", []),
     # Comment/string stripping: prose never trips the code rules.
     ("src/cpu/prose.cc",
      "// a new coroutine is forked via const_cast-free magic\n"
