@@ -2,8 +2,8 @@
  * @file
  * Soft-accelerator image factories — one per application benchmark of the
  * paper's Sec. V-D. (The synthetic accelerator behind the Sec. V-C
- * communication studies lives with those benches, in
- * bench/bench_common.hh.)
+ * communication studies lives with the paper-claim ledger, in
+ * tests/test_claims.cc.)
  *
  * Resource usage and Fmax are imported from the paper's Table II (the
  * Yosys/VTR/PRGA CAD flow is not available offline; see DESIGN.md). The

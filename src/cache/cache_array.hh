@@ -167,17 +167,6 @@ class CacheArray
         clock_ = 0;
     }
 
-    /** Count of valid lines (test/debug helper). */
-    unsigned
-    countValid() const
-    {
-        unsigned n = 0;
-        for (Addr t : tags_)
-            if (t != kInvalidTag)
-                ++n;
-        return n;
-    }
-
   private:
     /** Never a line-aligned address, so it doubles as the invalid mark. */
     static constexpr Addr kInvalidTag = ~Addr{0};

@@ -72,9 +72,6 @@ class L1Cache
     /** Inclusive invalidation from the L2 (line left the L2). */
     void invalidateLine(Addr a) { array_.erase(lineAlign(a)); }
 
-    /** Number of valid lines currently cached. */
-    unsigned validLines() const { return array_.countValid(); }
-
     /** Drop all lines and counters (scenario warm-start). */
     void
     reset()

@@ -48,7 +48,6 @@ ControlHub::reset()
     tlbVpnLatch_ = 0;
     tlbSelect_ = 0;
     nextFwdTxn_ = 1;
-    resetHook_ = nullptr;
     toFpga_.reset();
     fromFpga_.reset();
     mmioReads.reset();
@@ -183,13 +182,14 @@ ControlHub::handleCtrlSpace(MmioOp &op)
         if (!op.isRead) {
             if (regFile_)
                 regFile_->reset();
+            // Clear the shadows the register file just cleared; parked
+            // CPU-bound readers keep waiting for the next push.
             for (Shadow &s : shadows_) {
+                s.value = 0;
                 s.credits = 0;
                 s.data.clear();
                 s.tokens = 0;
             }
-            if (resetHook_)
-                resetHook_();
         }
         respond(op, 0);
         return true;

@@ -21,9 +21,6 @@ FpgaRegFile::reset()
         r.value = 0;
         r.fifo.clear();
         r.tokens = 0;
-        // Parked operations are dropped; the Control Hub times them out.
-        r.poppers.clear();
-        r.parkedReads.clear();
     }
     outQ_.clear();
 }
@@ -209,18 +206,6 @@ FpgaRegFile::push(unsigned reg, std::uint64_t v)
     simAssert(reg < regs_.size(), name_ + ": push out of range");
     Reg &r = regs_[reg];
     // Shadowed CPU-bound FIFO: ship the data to the fast-domain shadow.
-    // Downgraded (normal) mode: serve any parked blocking read, else queue
-    // locally.
-    if (!r.parkedReads.empty()) {
-        std::uint32_t txn = r.parkedReads.front();
-        r.parkedReads.pop_front();
-        CtrlMsg rd;
-        rd.kind = CtrlMsgKind::NormalReadData;
-        rd.txnId = txn;
-        rd.data = v;
-        send(rd);
-        return;
-    }
     if (!shadowed_) {
         // Downgraded mode: the data stays in the slow domain until a
         // forwarded NormalRead pops it.

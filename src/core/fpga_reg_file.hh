@@ -84,9 +84,6 @@ class FpgaRegFile
     /** Pop one entry from an FPGA-bound FIFO register (blocking). */
     PopOp pop(unsigned reg) { return PopOp(*this, reg); }
 
-    /** True if an FPGA-bound FIFO register has data (peek, no cycle). */
-    bool hasData(unsigned reg) const { return !regs_[reg].fifo.empty(); }
-
     /** Push a value into a CPU-bound FIFO register. */
     void push(unsigned reg, std::uint64_t v);
 
@@ -106,7 +103,16 @@ class FpgaRegFile
         regs_[reg].readHandler = std::move(rd);
     }
 
-    /** Reset all register state (accelerator reset). */
+    /**
+     * Software reset (the Control Hub's kReset write): clears register
+     * values, FIFO data, tokens and queued outbound messages. Parked
+     * accelerator pops survive — their coroutine frames stay suspended
+     * in them, so dropping them would leave the accelerator unable to
+     * serve again — and resume on the next post-reset FIFO write. A pop
+     * that already dequeued before the reset still completes with the
+     * value it took. (A warm start, System::reset(), destroys the whole
+     * register file instead.)
+     */
     void reset();
 
     /** Shadowed (Duet) vs downgraded-to-normal (FPSoC) operation. */
@@ -123,7 +129,6 @@ class FpgaRegFile
         std::deque<std::uint64_t> fifo; ///< FPGA-bound data / CpuFifo data
         std::uint64_t tokens = 0;
         std::deque<PopOp *> poppers; ///< parked pops, FIFO order
-        std::deque<std::uint32_t> parkedReads; ///< NormalRead txns waiting
         ReadHandler readHandler;
     };
 

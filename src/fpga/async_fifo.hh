@@ -106,8 +106,6 @@ class AsyncFifo
                                     reader_.eventQueue().now() - push_tick);
                 }
             }
-            cdcWait.sample(static_cast<double>(
-                reader_.eventQueue().now() - push_tick));
             simAssert(static_cast<bool>(drain_), name_ + ": no drain");
             drain_(std::move(item));
         });
@@ -127,11 +125,9 @@ class AsyncFifo
         lastDeliver_ = 0;
         hasDelivered_ = false;
         pushes.reset();
-        cdcWait.reset();
     }
 
     Counter pushes;
-    SampleStat cdcWait;
 
   private:
     std::string name_;

@@ -165,7 +165,6 @@ class Fabric
         }
         state_ = State::Configured;
         accelName_ = image.accelName;
-        configured_ = image.used;
         return true;
     }
 
@@ -174,16 +173,12 @@ class Fabric
     {
         state_ = State::Unconfigured;
         accelName_.clear();
-        configured_ = {};
     }
-
-    const FabricResources &configuredResources() const { return configured_; }
 
   private:
     FabricConfig cfg_;
     State state_ = State::Unconfigured;
     std::string accelName_;
-    FabricResources configured_;
 };
 
 } // namespace duet

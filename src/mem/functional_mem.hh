@@ -142,9 +142,6 @@ class FunctionalMemory
         return old;
     }
 
-    /** Number of pages touched so far. */
-    std::size_t pagesAllocated() const { return pages_.size(); }
-
     /**
      * Zero every touched page in place, keeping the page map and its
      * allocations warm (scenario warm-start). Reads observe the same

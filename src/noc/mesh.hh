@@ -18,9 +18,14 @@
  * a single arrival event stands in for the whole chain. If anything else
  * injects while the express flight is outstanding, the not-yet-executed
  * claims are unwound and the flight resumes on the hop-by-hop path at
- * the hop it had reached, so queueing delay, flit-cycle totals, ordering
- * and final ticks are identical to the chain it replaced (the event
- * *count* is smaller; the tracked bench reference carries that).
+ * the hop it had reached. Link claims and flit-cycle totals follow the
+ * chain it replaced, and so do arrival ticks on every `--bench` row and
+ * in the contended storm of tests/test_noc.cc, but the path is not
+ * tick-exact in general: the express arrival and the de-express resume
+ * can take a different position among same-tick events than the
+ * hop-by-hop chain, which shifts `sim_ticks` on at least one benchmark
+ * scenario (efpga-accel's dijkstra.fpsoc.c0.s4096.seed900892: 7,021,659,000
+ * express vs 7,020,974,000 hop-by-hop ticks).
  */
 
 #ifndef DUET_NOC_MESH_HH

@@ -94,13 +94,11 @@ class System
 
     // ------------------------- topology -------------------------------
     unsigned numTiles() const { return numTiles_; }
-    unsigned pTile(unsigned core) const { return core; }
     unsigned cTile() const { return cfg_.numCores; } ///< adapter C-tile
 
     Core &core(unsigned i) { return *cores_.at(i); }
     unsigned numCores() const { return static_cast<unsigned>(cores_.size()); }
     DuetAdapter &adapter() { return *adapter_; }
-    bool hasAdapter() const { return adapter_ != nullptr; }
     FunctionalMemory &memory() { return mem_; }
     EventQueue &eventQueue() { return eq_; }
     ClockDomain &clock() { return *clk_; }

@@ -66,6 +66,32 @@ TEST(TableTwo, DerivedFabricAreaMatchesNormalizedArea)
     }
 }
 
+TEST(TableTwo, DerivedFabricCompositionIsPinned)
+{
+    // The fabric each accelerator needs, as the area model derives it:
+    // CLB tiles, BRAM tiles, and silicon area (mm2, 45 nm).
+    struct Pin
+    {
+        const char *key;
+        unsigned clb, bram;
+        double mm2;
+    };
+    const Pin pins[] = {
+        {"tangent", 117, 0, 1.24},    {"popcount", 446, 42, 7.33},
+        {"sort32", 1015, 95, 16.65},  {"sort64", 1309, 122, 21.44},
+        {"sort128", 1664, 154, 27.19}, {"dijkstra", 315, 29, 5.14},
+        {"barnes-hut", 2300, 214, 37.65}, {"bfs", 199, 19, 3.29},
+        {"pdes", 446, 42, 7.33},
+    };
+    for (const Pin &p : pins) {
+        const AccelRow *r = findAccel(p.key);
+        ASSERT_NE(r, nullptr) << p.key;
+        EXPECT_EQ(r->clbTiles(), p.clb) << p.key;
+        EXPECT_EQ(r->bramTiles(), p.bram) << p.key;
+        EXPECT_NEAR(r->fabricAreaMm2(), p.mm2, 0.005) << p.key;
+    }
+}
+
 TEST(TableTwo, SortAreaGrowsWithNetworkSize)
 {
     EXPECT_LT(findAccel("sort32")->normArea, findAccel("sort64")->normArea);

@@ -369,13 +369,13 @@ TEST(Stats, CounterAndSample)
     c.inc(41);
     EXPECT_EQ(c.value(), 42u);
 
-    SampleStat s;
-    s.sample(1.0);
-    s.sample(3.0);
-    EXPECT_EQ(s.count(), 2u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 3.0);
+    Histogram h;
+    h.record(1);
+    h.record(3);
+    EXPECT_EQ(h.count(), 2u);
+    EXPECT_DOUBLE_EQ(h.mean(), 2.0);
+    EXPECT_EQ(h.min(), 1u);
+    EXPECT_EQ(h.max(), 3u);
 }
 
 TEST(Stats, RegistryLookupAndDump)
